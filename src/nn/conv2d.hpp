@@ -1,4 +1,18 @@
 // 2-D convolution over [B, C, H, W] tensors, implemented via im2col + GEMM.
+//
+// Lowering. im2col first copies each image once into a zero-padded plane of
+// C x (H+2P) x (W+2P) floats; every patch then lies inside that plane, so
+// it is gathered branch-free through the fixed plane offsets of its taps
+// (ci, ky, kx). col2im is its adjoint: it scatter-adds each patch into a
+// zeroed padded plane through the same offsets, in (oy, ox) order, then
+// copies the interior out. A pixel therefore receives the same terms in the
+// same order as a bounds-checked scatter straight into the image, and the
+// results are bit-identical to it; taps that fall in the padding land in
+// cells that are thrown away. The plane and the tap offsets live in the
+// calling thread's worker_scratch slots (tensor/pool.hpp): per thread, at
+// most C x (H+2P) x (W+2P) floats plus C x K x K offsets for the largest
+// convolution it lowered (about 11 KB for the bench-preset LeNet's
+// second layer).
 #pragma once
 
 #include "common/rng.hpp"

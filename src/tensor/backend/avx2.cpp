@@ -3,7 +3,8 @@
 // GEMM: a packed, register-blocked microkernel in the BLIS style. The
 // driver walks cache blocks (NC columns x KC depth x MC rows), packs the
 // current B panel into NR-wide column slabs and each A block into MR-tall
-// row slabs (both in pooled, 64-byte-aligned scratch from BufferPool, so
+// row slabs (the B panel in pooled scratch from BufferPool, each worker's A
+// panel in its persistent worker_scratch slot, both 64-byte aligned, so
 // steady-state GEMM stays allocation-free), then runs a 6x16 register tile:
 // 12 YMM accumulators fed by two aligned B loads and six A broadcasts per
 // k step. Row blocks are distributed over zkg::parallel_for; every C
@@ -93,8 +94,17 @@ void pack_b(float* dst, const float* b, std::int64_t rk, std::int64_t cj,
 /// The 6x16 register tile: C[0..6, 0..16) (+)= Aslab * Bslab over kcnt
 /// depth steps. `ldc` is C's row stride; with accumulate=false the tile
 /// overwrites C.
-void micro_6x16(std::int64_t kcnt, const float* aslab, const float* bslab,
-                float* c, std::int64_t ldc, bool accumulate) {
+///
+/// Inlining is pinned, because GCC's own choice flips with unrelated edits
+/// to the driver. With the full tile inlined and the edge tile out of line,
+/// the LeNet GEMMs ran as fast as or faster than with GCC's choice for the
+/// current driver (M x K x N = 6272x16x200: 0.33 against 0.54-0.62 ms;
+/// 128x784x64: 0.19 against 0.21 ms; two threads, 4-vCPU VM).
+[[gnu::always_inline]] inline void micro_6x16(std::int64_t kcnt,
+                                              const float* aslab,
+                                              const float* bslab, float* c,
+                                              std::int64_t ldc,
+                                              bool accumulate) {
   __m256 acc[kMR][2];
   for (int r = 0; r < kMR; ++r) {
     acc[r][0] = _mm256_setzero_ps();
@@ -123,9 +133,10 @@ void micro_6x16(std::int64_t kcnt, const float* aslab, const float* bslab,
 /// Edge tile (mr < MR and/or nr < NR): run the full microkernel into a
 /// local tile (the packed slabs are zero-padded, so the extra lanes
 /// compute zeros), then copy the valid mr x nr corner into C.
-void micro_edge(std::int64_t kcnt, const float* aslab, const float* bslab,
-                float* c, std::int64_t ldc, std::int64_t mr, std::int64_t nr,
-                bool accumulate) {
+[[gnu::noinline]] void micro_edge(std::int64_t kcnt, const float* aslab,
+                                  const float* bslab, float* c,
+                                  std::int64_t ldc, std::int64_t mr,
+                                  std::int64_t nr, bool accumulate) {
   alignas(32) float tile[kMR * kNR];
   micro_6x16(kcnt, aslab, bslab, tile, kNR, /*accumulate=*/false);
   for (std::int64_t r = 0; r < mr; ++r) {
@@ -162,18 +173,18 @@ void gemm_strided(float* c, std::int64_t m, std::int64_t k, std::int64_t n,
       // One row block costs 2*MC*kcnt*nc flops — far above any sane grain,
       // so parallelise at block granularity.
       parallel_for(row_blocks, 1, [&](std::int64_t blk0, std::int64_t blk1) {
-        FloatBuffer apanel =
-            pool.acquire(static_cast<std::size_t>(kMC * kKC));
+        float* apanel = worker_scratch<float>(
+            WorkerSlot::kGemmPanel, static_cast<std::size_t>(kMC * kKC));
         for (std::int64_t blk = blk0; blk < blk1; ++blk) {
           const std::int64_t i0 = blk * kMC;
           const std::int64_t mc = std::min(kMC, m - i0);
-          pack_a(apanel.data(), a, a_ri, a_rk, i0, mc, kc, kcnt);
+          pack_a(apanel, a, a_ri, a_rk, i0, mc, kc, kcnt);
           for (std::int64_t jr = 0; jr < nc; jr += kNR) {
             const std::int64_t nr = std::min(kNR, nc - jr);
             const float* bslab = bpanel.data() + jr * kcnt;
             for (std::int64_t ir = 0; ir < mc; ir += kMR) {
               const std::int64_t mr = std::min(kMR, mc - ir);
-              const float* aslab = apanel.data() + ir * kcnt;
+              const float* aslab = apanel + ir * kcnt;
               float* ctile = c + (i0 + ir) * n + (jc + jr);
               if (mr == kMR && nr == kNR) {
                 micro_6x16(kcnt, aslab, bslab, ctile, n, accumulate);
@@ -183,7 +194,6 @@ void gemm_strided(float* c, std::int64_t m, std::int64_t k, std::int64_t n,
             }
           }
         }
-        pool.release(std::move(apanel));
       });
     }
   }

@@ -113,6 +113,26 @@ class BufferPool {
 void ensure_shape(Tensor& t, const Shape& shape,
                   BufferPool& pool = BufferPool::global());
 
+/// Persistent per-thread scratch for the bodies of parallel kernels: the
+/// AVX2 GEMM's packed A panel, and the convolution lowering's zero-padded
+/// image plane with the offsets of its taps. Each thread keeps one buffer
+/// per slot for its lifetime, so the memory these take is fixed by the
+/// number of threads that run kernels, not by how the scheduler spreads
+/// chunks over them, and the BufferPool (with its zero-misses-after-warmup
+/// property) never sees them.
+enum class WorkerSlot { kGemmPanel, kConvPlane, kConvTaps, kCount };
+
+/// This thread's buffer for `slot`, grown to at least `numel` elements of
+/// `T` and page-aligned (pages mapped for the slot alone, returned when the
+/// thread exits). Contents are unspecified (float buffers are
+/// poisoned with BufferPool::poison_value() under ZKG_CHECKED). The pointer
+/// stays valid until this thread asks for the same slot again, so a
+/// parallel body may hold it for its whole chunk but must not call another
+/// kernel that uses the same slot.
+/// Instantiated for float and std::int32_t.
+template <typename T>
+T* worker_scratch(WorkerSlot slot, std::size_t numel);
+
 /// Scoped set of pool-backed tensors. get()/zeros() acquire storage now;
 /// scratch() hands out an empty tensor that downstream ensure_shape calls
 /// will grow through the pool. All storage returns to the pool when the

@@ -2,6 +2,12 @@
 // checks for every layer (both input gradients and parameter gradients).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <string>
+
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
@@ -132,6 +138,136 @@ TEST(Im2Col, RoundTripThroughCol2ImCountsOverlaps) {
   EXPECT_FLOAT_EQ(back.at(0, 0, 1, 1), 4.0f);
   EXPECT_FLOAT_EQ(back.at(0, 0, 0, 0), 1.0f);
   EXPECT_FLOAT_EQ(back.at(0, 0, 0, 1), 2.0f);
+}
+
+// Reference lowering: bounds-checked loops that test every tap of every
+// patch against the image edge instead of reading a padded plane.
+Tensor reference_im2col(const Tensor& input, const Conv2dConfig& cfg) {
+  const std::int64_t b = input.dim(0), c = input.dim(1);
+  const std::int64_t h = input.dim(2), w = input.dim(3);
+  const std::int64_t k = cfg.kernel, s = cfg.stride, p = cfg.padding;
+  const std::int64_t oh = (h + 2 * p - k) / s + 1;
+  const std::int64_t ow = (w + 2 * p - k) / s + 1;
+  const std::int64_t patch = c * k * k;
+  Tensor cols({b * oh * ow, patch});
+  for (std::int64_t bi = 0; bi < b; ++bi) {
+    for (std::int64_t oy = 0; oy < oh; ++oy) {
+      for (std::int64_t ox = 0; ox < ow; ++ox) {
+        float* row = cols.data() + ((bi * oh + oy) * ow + ox) * patch;
+        for (std::int64_t ci = 0; ci < c; ++ci) {
+          for (std::int64_t ky = 0; ky < k; ++ky) {
+            for (std::int64_t kx = 0; kx < k; ++kx) {
+              const std::int64_t y = oy * s - p + ky;
+              const std::int64_t x = ox * s - p + kx;
+              const bool inside = y >= 0 && y < h && x >= 0 && x < w;
+              row[(ci * k + ky) * k + kx] =
+                  inside ? input.at(bi, ci, y, x) : 0.0f;
+            }
+          }
+        }
+      }
+    }
+  }
+  return cols;
+}
+
+Tensor reference_col2im(const Tensor& cols, const Shape& shape,
+                        const Conv2dConfig& cfg) {
+  const std::int64_t b = shape[0], c = shape[1], h = shape[2], w = shape[3];
+  const std::int64_t k = cfg.kernel, s = cfg.stride, p = cfg.padding;
+  const std::int64_t oh = (h + 2 * p - k) / s + 1;
+  const std::int64_t ow = (w + 2 * p - k) / s + 1;
+  const std::int64_t patch = c * k * k;
+  Tensor image(shape, 0.0f);
+  for (std::int64_t bi = 0; bi < b; ++bi) {
+    for (std::int64_t oy = 0; oy < oh; ++oy) {
+      for (std::int64_t ox = 0; ox < ow; ++ox) {
+        const float* row = cols.data() + ((bi * oh + oy) * ow + ox) * patch;
+        for (std::int64_t ci = 0; ci < c; ++ci) {
+          for (std::int64_t ky = 0; ky < k; ++ky) {
+            for (std::int64_t kx = 0; kx < k; ++kx) {
+              const std::int64_t y = oy * s - p + ky;
+              const std::int64_t x = ox * s - p + kx;
+              if (y < 0 || y >= h || x < 0 || x >= w) continue;
+              image.at(bi, ci, y, x) += row[(ci * k + ky) * k + kx];
+            }
+          }
+        }
+      }
+    }
+  }
+  return image;
+}
+
+void expect_bitwise_equal(const Tensor& actual, const Tensor& expected,
+                          const std::string& what) {
+  ASSERT_EQ(actual.shape(), expected.shape()) << what;
+  EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
+                        static_cast<std::size_t>(actual.numel()) *
+                            sizeof(float)),
+            0)
+      << what;
+}
+
+double dot(const Tensor& a, const Tensor& b, double* magnitude) {
+  double sum = 0.0;
+  for (std::int64_t i = 0; i < a.numel(); ++i) {
+    const double term = static_cast<double>(a[i]) * static_cast<double>(b[i]);
+    sum += term;
+    *magnitude += std::abs(term);
+  }
+  return sum;
+}
+
+TEST(Im2Col, FuzzMatchesBoundsCheckedReferenceBitwise) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::int64_t k = rng.randint(1, 5);
+    const Conv2dConfig cfg{.in_channels = rng.randint(1, 6),
+                           .out_channels = 1,
+                           .kernel = k,
+                           .stride = rng.randint(1, 3),
+                           .padding = rng.randint(0, k - 1)};
+    const std::int64_t b = trial % 4 == 0 ? 1 : rng.randint(2, 5);
+    const std::int64_t min_side =
+        std::max<std::int64_t>(1, k - 2 * cfg.padding);
+    const std::int64_t h = rng.randint(min_side, 20);
+    std::int64_t w = rng.randint(min_side, 20);
+    if (w == h) w = h + 1;
+    const Shape shape{b, cfg.in_channels, h, w};
+    const std::string what =
+        "trial " + std::to_string(trial) + ": " + shape_to_string(shape) +
+        " k=" + std::to_string(k) + " s=" + std::to_string(cfg.stride) +
+        " p=" + std::to_string(cfg.padding);
+
+    const Tensor x = randn(shape, rng);
+    const Tensor expected_cols = reference_im2col(x, cfg);
+    Tensor cols;
+    {
+      const SerialScope serial;
+      im2col_into(cols, x, cfg);
+    }
+    expect_bitwise_equal(cols, expected_cols, "serial im2col, " + what);
+    im2col_into(cols, x, cfg);
+    expect_bitwise_equal(cols, expected_cols, "parallel im2col, " + what);
+
+    const Tensor y = randn(expected_cols.shape(), rng);
+    const Tensor expected_image = reference_col2im(y, shape, cfg);
+    Tensor image;
+    {
+      const SerialScope serial;
+      col2im_into(image, y, shape, cfg);
+    }
+    expect_bitwise_equal(image, expected_image, "serial col2im, " + what);
+    col2im_into(image, y, shape, cfg);
+    expect_bitwise_equal(image, expected_image, "parallel col2im, " + what);
+
+    // col2im is the adjoint of im2col: <im2col(x), y> == <x, col2im(y)>.
+    double magnitude = 0.0;
+    const double lhs = dot(cols, y, &magnitude);
+    const double rhs = dot(x, image, &magnitude);
+    EXPECT_NEAR(lhs, rhs, 1e-5 * magnitude + 1e-6) << "adjoint, " << what;
+  }
 }
 
 TEST(MaxPool2d, ForwardAndRouting) {
